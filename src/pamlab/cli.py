@@ -22,7 +22,9 @@ import numpy as np
 from . import __version__, config as cfgmod, limits, randomness, variational
 from .config import ExperimentConfig
 from .errors import ConfigError, NumericalError, PamlabError, ResourceCapError
-from .potential import (DistributionSpec, PotentialField, order_stats,
+from .geometry import ball_size
+from .oracle import dense_exponential_oracle
+from .potential import (DistributionSpec, PotentialField, certify, order_stats,
                         sample_dense, sample_exceedances, write_field_binary,
                         write_field_text)
 from .solver import (choose_box_radius, growth_rate, integrate,
@@ -113,14 +115,8 @@ def cmd_sample(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
     writer = RunWriter(cfg, out, "solve")
     d = cfg.dimension
-    policy = cfg.box_policy
-    if policy.startswith("fixed:"):
-        radius = int(policy.split(":", 1)[1])
-    else:
-        radius = choose_box_radius(cfg.solve_t_end, d)
+    radius = choose_box_radius(cfg.solve_t_end, d, cfg.box_policy)
     if cfg.solve_zero_potential:
-        import numpy as np
-        from .geometry import ball_size
         f = PotentialField.from_values(
             d, radius, np.zeros(ball_size(d, radius)), _spec_for(cfg),
             cfg.master_seed)
@@ -153,7 +149,6 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
         if resid > 100 * cfg.tol * max(1.0, abs(exact)):
             raise NumericalError("single-site closed-form check failed")
     elif f.size <= 200:
-        from .oracle import dense_exponential_oracle
         ref = dense_exponential_oracle(f, final.time)
         resid = abs(final.log_mass - ref.log_mass) / max(1.0, abs(ref.log_mass))
         summary["oracle_residual"] = resid
@@ -171,21 +166,19 @@ def cmd_variational(cfg: ExperimentConfig, out: Path) -> int:
     writer = RunWriter(cfg, out, "variational")
     d = cfg.dimension
     t = cfg.variational_t
+    r, u0 = variational.sparse_start(t, d, cfg.variational_threshold)
     rows = [variational.CSV_HEADER]
     jsonl = []
+
+    def summarize(f):
+        summary = variational.variational_summary(f, t, c=cfg.variational_c)
+        variational.require_certified(summary.top2)
+        return summary
+
     for i in range(cfg.variational_n_seeds):
         seed = randomness.spawn_seed(cfg.master_seed, 21, i)
-        for f in variational.sparse_field_for(
-                t, d, seed, spec=_spec_for(cfg),
-                threshold=cfg.variational_threshold,
-                record_cap=cfg.record_cap):
-            try:
-                summary = variational.variational_summary(
-                    f, t, c=cfg.variational_c)
-            except PamlabError:
-                continue
-            if summary.top2.certified:
-                break
+        _, summary = certify(summarize, d, r, u0, seed, spec=_spec_for(cfg),
+                             record_cap=cfg.record_cap)
         rows.append(variational.summary_csv_row(seed, summary))
         jsonl.append(summary.to_json())
     writer.emit_text("variational.csv", "\n".join(rows) + "\n")

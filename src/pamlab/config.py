@@ -12,6 +12,7 @@ import configparser
 import hashlib
 import io
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -178,6 +179,17 @@ def _optional_float(raw, section, key) -> Optional[float]:
         raise ConfigError(f"{section}.{key} must be a number or empty") from err
 
 
+def parse_box_policy(policy: str) -> Optional[int]:
+    """Radius of a ``fixed:N`` solver box policy; None for ``default``."""
+    if policy == "default":
+        return None
+    match = re.fullmatch(r"fixed:(\d+)", policy)
+    if match is None:
+        raise ConfigError("solver.box_policy must be default or fixed:N with"
+                          f" N >= 0, got {policy!r}")
+    return int(match.group(1))
+
+
 def _typed(raw: dict) -> ExperimentConfig:
     family = raw["run"]["family"]
     if family not in ("exponential", "weibull", "pareto"):
@@ -192,6 +204,7 @@ def _typed(raw: dict) -> ExperimentConfig:
     proxy = raw["ensemble"]["proxy"]
     if proxy not in ("variational", "solver"):
         raise ConfigError("ensemble.proxy must be variational|solver")
+    parse_box_policy(raw["solver"]["box_policy"])
     zero = raw["solve"]["zero_potential"].lower()
     if zero not in ("true", "false", "1", "0", "yes", "no"):
         raise ConfigError("solve.zero_potential must be boolean")

@@ -16,16 +16,16 @@ from typing import Optional
 import numpy as np
 
 from . import randomness
-from .errors import SparseValidityError
-from .potential import EXPONENTIAL, sample_dense, sparse_top_k
-from .solver import choose_box_radius, integrate, localization_site, mass_within
-from .variational import (certified_lower_index, certified_top2,
-                          default_sparse_threshold, lower_index, psi_top2,
-                          scale)
+from .geometry import encode_sites
+from .potential import certify, sample_dense, sparse_top_k
+from .solver import choose_box_radius, integrate, mass_within
+from .variational import (certified_lower_index, default_sparse_threshold,
+                          psi_top2, require_certified, scale, sparse_start)
 
-# ensemble kind -> seed-derivation tag (keeps kinds independent)
-_KIND_TAG = {"gap": 11, "location": 12, "gumbel": 13,
-             "concentration": 14, "disconnected": 15, "psi": 11}
+# ensemble kind -> seed-derivation tag (keeps kinds independent); gap and
+# location share tag 11, as both read the same penalized-potential fields
+_KIND_TAG = {"gap": 11, "location": 11, "gumbel": 13,
+             "concentration": 14, "disconnected": 15}
 
 
 @dataclass(frozen=True)
@@ -156,27 +156,17 @@ def _map_seeds(fn, n_seeds: int, threads: int = 1) -> list:
 def _psi_ensemble(d: int, t: float, n_seeds: int, master_seed: int, *,
                   threshold: Optional[float] = None, threads: int = 1,
                   annulus_variant: bool = False):
-    from .variational import sparse_field_for
-
-    field_seeds = [randomness.spawn_seed(master_seed, _KIND_TAG["psi"], i)
+    field_seeds = [randomness.spawn_seed(master_seed, _KIND_TAG["gap"], i)
                    for i in range(n_seeds)]
+    r, u0 = sparse_start(t, d, threshold)
 
     def work(i):
-        last_err = None
-        for f in sparse_field_for(t, d, field_seeds[i], threshold=threshold):
-            try:
-                top = psi_top2(f, t)
-            except SparseValidityError as err:
-                last_err = err
-                continue
-            if not top.certified:
-                last_err = SparseValidityError("top-two below sparse threshold")
-                continue
-            alt_gap = math.nan
-            if annulus_variant:
-                alt_gap = psi_top2(f, t, annulus_only=True).gap
-            return top.site1, top.gap, f.threshold, alt_gap
-        raise last_err
+        f, top = certify(lambda sf: require_certified(psi_top2(sf, t)),
+                         d, r, u0, field_seeds[i])
+        alt_gap = math.nan
+        if annulus_variant:
+            alt_gap = psi_top2(f, t, annulus_only=True).gap
+        return top.site1, top.gap, f.threshold, alt_gap
 
     rows = _map_seeds(work, n_seeds, threads)
     sites = np.array([r[0] for r in rows], dtype=np.float64)
@@ -346,7 +336,6 @@ def disconnected_check(d: int, n: int, rho: float, n_seeds: int,
 
 def sites_disconnected(coords: np.ndarray, radius: int) -> bool:
     """True iff no two of the given sites are l1-adjacent."""
-    from .geometry import encode_sites
     if coords.shape[0] < 2:
         return True
     d = coords.shape[1]

@@ -21,6 +21,7 @@ import numpy as np
 from . import geometry
 from .errors import ResourceCapError
 from .potential import PotentialField
+from .solver import build_generator
 
 DEFAULT_ORACLE_SITE_LIMIT = 200
 DEFAULT_PATH_BUDGET = 5_000_000
@@ -92,21 +93,6 @@ def uppb_bound_check(etas, t: float) -> bool:
 
 # --- dense generator exponential ------------------------------------------------
 
-def _dense_generator(f: PotentialField) -> np.ndarray:
-    """Dense matrix of Delta + xi on the field's ball, Dirichlet outside."""
-    d = f.dimension
-    box = geometry.build_box(d, f.radius)
-    n = box.size
-    a = np.zeros((n, n))
-    np.fill_diagonal(a, f.values - 2 * d)
-    idx = np.arange(n)
-    for col in range(2 * d):
-        nb = box.nbr[:, col]
-        ok = nb < n
-        a[idx[ok], nb[ok]] += 1.0
-    return a
-
-
 @dataclass(frozen=True)
 class OracleSolution:
     log_mass: float
@@ -134,7 +120,7 @@ def dense_exponential_oracle(f: PotentialField, t: float, *,
         w = np.zeros(n)
         w[origin] = 1.0
         return OracleSolution(0.0, w, 0.0)
-    a = _dense_generator(f)
+    a = build_generator(f).as_dense()
     mu = float(a.diagonal().min())
     b = a - mu * np.eye(n)  # entrywise nonnegative
     norm = float(np.abs(b).sum(axis=0).max())

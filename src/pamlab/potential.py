@@ -10,11 +10,10 @@ conditional values), which reaches balls of billions of sites in O(count).
 
 from __future__ import annotations
 
-import io
 import math
 import struct
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, TypeVar, Union
 
 import numpy as np
 
@@ -161,6 +160,7 @@ class SparseExceedanceField:
 
 
 Field = Union[PotentialField, SparseExceedanceField]
+T = TypeVar("T")
 
 
 def _budget_bytes(memory_gib: float) -> int:
@@ -263,6 +263,40 @@ def sample_exceedances(d: int, r: int, threshold: float, seed: int = 0, *,
                                  coords, values, method, attempt)
 
 
+_MAX_ATTEMPTS = 6
+
+
+def certify(statistic: Callable[[SparseExceedanceField], T], d: int, r: int,
+            u0: float, seed: int, *, spec: DistributionSpec = EXPONENTIAL,
+            record_cap: int = DEFAULT_RECORD_CAP
+            ) -> tuple[SparseExceedanceField, T]:
+    """First exceedance field on B_r whose ``statistic`` is certified.
+
+    ``statistic(field)`` raises ``SparseValidityError`` when an unseen site
+    below the field's threshold could change its result.  Attempt i = 0..5
+    samples at threshold u_i, with u_0 = u0 and u_{i+1} = max(0, u_i - 2),
+    and stops after a failed attempt at u = 0 (there every site is seen).
+    Returns the first certified (field, result); re-raises the last error
+    when no attempt certifies.
+
+    Each attempt redraws an independent field (its ``attempt`` tags the
+    binomial stream), so the reported law is conditioned on certification;
+    nesting the thresholds within one realization would remove that bias.
+    """
+    u = u0
+    for attempt in range(_MAX_ATTEMPTS):
+        f = sample_exceedances(d, r, u, seed, spec=spec,
+                               record_cap=record_cap, attempt=attempt)
+        try:
+            return f, statistic(f)
+        except SparseValidityError as err:
+            last_err = err
+        if u <= 0.0:
+            break
+        u = max(0.0, u - 2.0)
+    raise last_err
+
+
 # --- order statistics ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -347,27 +381,24 @@ def threshold_for_expected(d: int, r: int, spec: DistributionSpec,
 def sparse_top_k(d: int, r: int, k: int, seed: int, *,
                  spec: DistributionSpec = EXPONENTIAL,
                  expected: Optional[float] = None,
-                 record_cap: int = DEFAULT_RECORD_CAP,
-                 max_retries: int = 6) -> OrderStatistics:
+                 record_cap: int = DEFAULT_RECORD_CAP) -> OrderStatistics:
     """Top-k of a huge ball via exceedance sampling, exact in law.
 
     Valid whenever the k-th value lands above the threshold (then no unseen
-    site can displace the result); retries with a lower threshold otherwise.
+    site can displace the result); ``certify`` lowers the threshold otherwise.
     """
     if expected is None:
         expected = max(8.0 * k, k + 64.0)
-    u = threshold_for_expected(d, r, spec, expected)
-    for attempt in range(max_retries):
-        sf = sample_exceedances(d, r, u, seed, spec=spec, method="auto",
-                                record_cap=record_cap, attempt=attempt)
-        if sf.size >= k:
-            st = order_stats(sf, k)
-            if st.values[-1] > u or u <= 0.0:
-                return st
-        if u <= 0.0:
-            break
-        u = max(0.0, u - 2.0)
-    raise SparseValidityError(f"top-{k} not certified after {max_retries} retries")
+
+    def top_k(sf: SparseExceedanceField) -> OrderStatistics:
+        st = order_stats(sf, k)
+        if sf.threshold > 0.0 and st.values[-1] <= sf.threshold:
+            raise SparseValidityError(
+                f"top-{k} reaches down to the threshold {sf.threshold:.6g}")
+        return st
+
+    u0 = threshold_for_expected(d, r, spec, expected)
+    return certify(top_k, d, r, u0, seed, spec=spec, record_cap=record_cap)[1]
 
 
 # --- asymptotic envelope checks -----------------------------------------------

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
+from .config import parse_box_policy
 from .errors import NumericalError, StiffnessError
 from .potential import PotentialField
 
@@ -29,19 +30,19 @@ TOL_MIN, TOL_MAX = 1e-12, 1e-4
 STEP_CEILING_FACTOR = 0.5
 
 
-def choose_box_radius(t: float, d: int, policy="default") -> int:
+def choose_box_radius(t: float, d: int, policy: str = "default") -> int:
     """Box radius large enough for the walks that matter up to time t.
 
-    Default policy covers both the jump-count range (paths with more than
-    t log t jumps contribute negligibly) and the diffusive bulk
-    (2dt jumps plus ten standard deviations), with a floor of 20.
+    ``policy`` is a ``solver.box_policy`` config value: ``fixed:N`` gives
+    radius N.  The default policy covers both the jump-count range (paths
+    with more than t log t jumps contribute negligibly) and the diffusive
+    bulk (2dt jumps plus ten standard deviations), with a floor of 20.
     """
     if t <= 0:
         raise ValueError("t must be > 0")
-    if isinstance(policy, tuple) and policy[0] == "fixed":
-        return int(policy[1])
-    if policy != "default":
-        raise ValueError(f"unknown box policy {policy!r}")
+    fixed = parse_box_policy(policy)
+    if fixed is not None:
+        return fixed
     jumps = t * math.log(max(t, 3.0))
     diffusive = 2 * d * t + 10.0 * math.sqrt(2 * d * t) + 20.0
     return int(math.ceil(max(jumps, diffusive, 20.0)))

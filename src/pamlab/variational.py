@@ -26,8 +26,8 @@ import numpy as np
 
 from . import geometry
 from .errors import SparseValidityError
-from .potential import (EXPONENTIAL, DistributionSpec, PotentialField,
-                        SparseExceedanceField, sample_exceedances)
+from .potential import (DEFAULT_RECORD_CAP, EXPONENTIAL, DistributionSpec,
+                        PotentialField, SparseExceedanceField, certify)
 from .solver import choose_box_radius
 
 T_DOMAIN_MIN = math.exp(math.e)  # iterated logs positive from here on
@@ -80,10 +80,7 @@ def evlb_reference(t: float, d: int, eps: float) -> float:
 
 def _site_data(f: Field, search_radius: Optional[float]):
     """Values, l1 norms and coords of the scanned sites."""
-    if isinstance(f, PotentialField):
-        coords = f.coords
-    else:
-        coords = f.coords
+    coords = f.coords
     norms = geometry.norm1(coords).astype(np.float64)
     values = f.values
     if search_radius is not None and search_radius < f.radius:
@@ -92,12 +89,15 @@ def _site_data(f: Field, search_radius: Optional[float]):
     return values, norms, coords
 
 
-def _certify_sparse(f: Field, result: float, what: str) -> None:
+def _certified_max(f: Field, penalized: np.ndarray, what: str) -> float:
+    """Largest penalized value (-inf if none), certified for sparse input."""
+    out = float(penalized.max()) if penalized.size else -math.inf
     if isinstance(f, SparseExceedanceField) and f.threshold > 0.0 \
-            and result < f.threshold:
+            and out < f.threshold:
         raise SparseValidityError(
-            f"{what}={result:.6g} below threshold {f.threshold:.6g}: an"
+            f"{what}={out:.6g} below threshold {f.threshold:.6g}: an"
             " unseen site could dominate; lower the threshold")
+    return out
 
 
 def lower_index(f: Field, t: float,
@@ -106,12 +106,8 @@ def lower_index(f: Field, t: float,
     if t <= 0:
         raise ValueError("t must be > 0")
     values, norms, _ = _site_data(f, search_radius)
-    if values.size == 0:
-        return -math.inf
     penalized = values - norms / t * np.maximum(np.log(values), 0.0)
-    out = float(penalized.max())
-    _certify_sparse(f, out, "lower index")
-    return out
+    return _certified_max(f, penalized, "lower index")
 
 
 def upper_index(f: Field, t: float, c: float,
@@ -119,7 +115,8 @@ def upper_index(f: Field, t: float, c: float,
     """max of xi(z) - (|z|/t)(loglog|z| + c) over the standard annulus.
 
     Annulus: max(3, t/(log t)^2) <= |z| <= t log t (inner radius floored so
-    loglog is defined).  Returns -inf when the scanned annulus is empty.
+    loglog is defined).  Returns -inf when the scanned annulus is empty
+    (a sparse field with a positive threshold raises instead).
     """
     if t < 20:
         raise ValueError("upper index needs t >= 20")
@@ -127,14 +124,9 @@ def upper_index(f: Field, t: float, c: float,
     inner = max(3.0, t / math.log(t) ** 2)
     outer = t * math.log(t)
     keep = (norms >= inner) & (norms <= outer)
-    if not keep.any():
-        return -math.inf
-    v = values[keep]
     nz = norms[keep]
-    penalized = v - nz / t * (np.log(np.log(nz)) + c)
-    out = float(penalized.max())
-    _certify_sparse(f, out, "upper index")
-    return out
+    penalized = values[keep] - nz / t * (np.log(np.log(nz)) + c)
+    return _certified_max(f, penalized, "upper index")
 
 
 def penalized_potential(values: np.ndarray, norms: np.ndarray,
@@ -202,58 +194,40 @@ def default_sparse_threshold(t: float, d: int) -> float:
     return max(0.0, d * math.log(scale(t, d).r_t) - 5.0)
 
 
-def sparse_field_for(t: float, d: int, seed: int, *,
-                     spec: DistributionSpec = EXPONENTIAL,
-                     threshold: Optional[float] = None,
-                     record_cap: int = 10_000_000,
-                     max_retries: int = 5):
-    """Exceedance field on the default scan box for time t, with retries.
+def sparse_start(t: float, d: int, threshold: Optional[float] = None
+                 ) -> tuple[int, float]:
+    """Scan-box radius and starting threshold of the sparse field for time t."""
+    u0 = default_sparse_threshold(t, d) if threshold is None else threshold
+    return choose_box_radius(t, d), u0
 
-    The threshold starts at the default (or the given value) and drops by 2
-    on each certification failure of the downstream statistic; this
-    generator yields (field, attempt) pairs until certified.
-    """
-    r = choose_box_radius(t, d)
-    u = default_sparse_threshold(t, d) if threshold is None else threshold
-    for attempt in range(max_retries + 1):
-        yield sample_exceedances(d, r, u, seed, spec=spec,
-                                 record_cap=record_cap, attempt=attempt)
-        u = max(0.0, u - 2.0)
+
+def require_certified(top: TopTwo) -> TopTwo:
+    """``top`` itself; raises when an unseen site could displace it."""
+    if not top.certified:
+        raise SparseValidityError("top-two below sparse threshold")
+    return top
 
 
 def certified_top2(t: float, d: int, seed: int, *,
                    spec: DistributionSpec = EXPONENTIAL,
                    threshold: Optional[float] = None,
-                   record_cap: int = 10_000_000,
+                   record_cap: int = DEFAULT_RECORD_CAP,
                    annulus_only: bool = False) -> TopTwo:
-    """Top-two penalized sites from sparse sampling, retried to certification."""
-    last_err = None
-    for f in sparse_field_for(t, d, seed, spec=spec, threshold=threshold,
-                              record_cap=record_cap):
-        try:
-            result = psi_top2(f, t, annulus_only=annulus_only)
-        except SparseValidityError as err:
-            last_err = err
-            continue
-        if result.certified:
-            return result
-        last_err = SparseValidityError("top-two below sparse threshold")
-    raise last_err
+    """Top-two penalized sites from sparse sampling, certified by ``certify``."""
+    r, u0 = sparse_start(t, d, threshold)
+    return certify(
+        lambda f: require_certified(psi_top2(f, t, annulus_only=annulus_only)),
+        d, r, u0, seed, spec=spec, record_cap=record_cap)[1]
 
 
 def certified_lower_index(t: float, d: int, seed: int, *,
                           spec: DistributionSpec = EXPONENTIAL,
                           threshold: Optional[float] = None,
-                          record_cap: int = 10_000_000) -> float:
-    """Lower index from sparse sampling, retried until certified."""
-    last_err = None
-    for f in sparse_field_for(t, d, seed, spec=spec, threshold=threshold,
-                              record_cap=record_cap):
-        try:
-            return lower_index(f, t)
-        except SparseValidityError as err:
-            last_err = err
-    raise last_err
+                          record_cap: int = DEFAULT_RECORD_CAP) -> float:
+    """Lower index from sparse sampling, certified by ``certify``."""
+    r, u0 = sparse_start(t, d, threshold)
+    return certify(lambda f: lower_index(f, t), d, r, u0, seed, spec=spec,
+                   record_cap=record_cap)[1]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from pamlab import oracle as oc
 from pamlab import potential as pt
+from pamlab import solver as sv
 from pamlab.errors import ResourceCapError
 
 
@@ -144,7 +145,7 @@ class TestDenseExponentialOracle:
     def test_matches_expm(self, d, r, t):
         f = pt.sample_dense(d, r, seed=d * 10 + r)
         sol = oc.dense_exponential_oracle(f, t)
-        a = oc._dense_generator(f)
+        a = sv.build_generator(f).as_dense()
         u = expm(t * a)[:, 0]
         assert sol.log_mass == pytest.approx(math.log(u.sum()), abs=1e-11)
         assert np.abs(sol.weights - u / u.sum()).max() < 1e-12

@@ -178,6 +178,51 @@ class TestOrderStats:
         assert np.array_equal(st.coords, brute.coords)
 
 
+class TestCertify:
+    @staticmethod
+    def record_draws(monkeypatch):
+        draws = []
+        sample = pt.sample_exceedances
+
+        def recorded(*args, **kwargs):
+            f = sample(*args, **kwargs)
+            draws.append((f.threshold, f.attempt))
+            return f
+
+        monkeypatch.setattr(pt, "sample_exceedances", recorded)
+        return draws
+
+    @staticmethod
+    def never(f):
+        raise SparseValidityError(f"threshold {f.threshold}")
+
+    def test_schedule_stops_after_six_attempts(self, monkeypatch):
+        draws = self.record_draws(monkeypatch)
+        with pytest.raises(SparseValidityError, match="threshold 10.0"):
+            pt.certify(self.never, 1, 30, 20.0, 1)
+        assert draws == [(20.0 - 2 * i, i) for i in range(6)]
+
+    def test_schedule_stops_after_zero(self, monkeypatch):
+        draws = self.record_draws(monkeypatch)
+        with pytest.raises(SparseValidityError, match="threshold 0.0"):
+            pt.certify(self.never, 1, 30, 5.0, 1)
+        assert draws == [(5.0, 0), (3.0, 1), (1.0, 2), (0.0, 3)]
+
+    def test_returns_first_certified(self, monkeypatch):
+        draws = self.record_draws(monkeypatch)
+
+        def needs_ten(f):
+            if f.size < 10:
+                raise SparseValidityError("too few records")
+            return f.size
+
+        f, size = pt.certify(needs_ten, 1, 30, 4.0, 2)
+        assert size == f.size >= 10
+        assert draws[-1] == (f.threshold, f.attempt)
+        assert all(n < 10 for n in (pt.sample_exceedances(
+            1, 30, u, 2, attempt=a).size for u, a in draws[:-1]))
+
+
 class TestEnvelopes:
     def test_domain_guard(self):
         with pytest.raises(ValueError):

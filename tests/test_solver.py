@@ -30,7 +30,7 @@ class TestChooseBoxRadius:
         assert sv.choose_box_radius(100.0, 1) == 461
 
     def test_fixed_policy(self):
-        assert sv.choose_box_radius(50.0, 1, policy=("fixed", 33)) == 33
+        assert sv.choose_box_radius(50.0, 1, policy="fixed:33") == 33
 
     def test_guard(self):
         with pytest.raises(ValueError):

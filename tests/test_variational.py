@@ -232,6 +232,28 @@ class TestCertifiedHelpers:
         assert v == pytest.approx(vr.lower_index(dense, 1e3), rel=1e-14)
 
 
+class TestEmptySparseFields:
+    def test_lower_index_raises(self):
+        f = pt.sample_exceedances(1, 10, 50.0, 0)
+        assert f.size == 0
+        with pytest.raises(SparseValidityError):
+            vr.lower_index(f, 1.0)
+
+    def test_upper_index_empty_annulus(self):
+        # r=10 lies inside the inner radius t/(log t)^2 ~ 21 at t=1000
+        dense = pt.sample_dense(1, 10, seed=2)
+        assert vr.upper_index(dense, 1e3, 1.0) == -math.inf
+        open_field = sparse_from_sites(1, 10, [[1]], [9.0], threshold=0.0)
+        assert vr.upper_index(open_field, 1e3, 1.0) == -math.inf
+        cut = sparse_from_sites(1, 10, [[1]], [9.0], threshold=5.0)
+        with pytest.raises(SparseValidityError):
+            vr.upper_index(cut, 1e3, 1.0)
+
+    def test_certified_lower_index_raises(self):
+        with pytest.raises(SparseValidityError):
+            vr.certified_lower_index(100.0, 1, 3, threshold=1000.0)
+
+
 class TestSummary:
     def test_json_and_csv(self):
         f = pt.sample_dense(1, 300, seed=14)
