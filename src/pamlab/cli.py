@@ -189,6 +189,9 @@ def cmd_variational(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_ensemble(cfg: ExperimentConfig, out: Path) -> int:
+    if cfg.family != "exponential":
+        raise ConfigError("ensemble laws hold for the exponential potential"
+                          f" only; run.family is {cfg.family}")
     writer = RunWriter(cfg, out, "ensemble")
     kind = cfg.ensemble_kind
     d, t = cfg.dimension, cfg.ensemble_t
@@ -233,17 +236,16 @@ def cmd_ensemble(cfg: ExperimentConfig, out: Path) -> int:
 def _report_row(kind: str, summary: dict, cfg: ExperimentConfig):
     """Pass/fail against the configured tolerances, one row per record."""
     tests = summary.get("tests", {})
-    rep = cfg.report
     if kind == "gap":
         value = tests.get("ks_distance")
-        ok = value is not None and value <= rep["gap_ks_max"]
+        ok = value is not None and value <= cfg.report_gap_ks_max
         return ("gap vs Exp(1) spacing law", value, ok)
     if kind == "location":
         dists = tests.get("ks_distance_per_coord", [])
-        band = rep["sign_fraction_band"]
-        ok = (bool(dists) and max(dists) <= rep["location_ks_max"]
+        band = cfg.report_sign_fraction_band
+        ok = (bool(dists) and max(dists) <= cfg.report_location_ks_max
               and band[0] <= tests.get("sign_fraction", -1) <= band[1]
-              and all(abs(c) <= rep["correlation_max"]
+              and all(abs(c) <= cfg.report_correlation_max
                       for c in tests.get("intercoordinate_correlation", [])))
         return ("location vs product-exponential law",
                 max(dists) if dists else None, ok)
@@ -254,12 +256,12 @@ def _report_row(kind: str, summary: dict, cfg: ExperimentConfig):
         medians = tests.get("median_per_t", [])
         ok = (bool(medians)
               and all(b >= a - 1e-12 for a, b in zip(medians, medians[1:]))
-              and medians[-1] >= rep["concentration_min"])
+              and medians[-1] >= cfg.report_concentration_min)
         return ("mass concentration near the penalized argmax",
                 medians[-1] if medians else None, ok)
     if kind == "disconnected":
         value = tests.get("frequency")
-        ok = value is not None and value >= rep["disconnected_min"]
+        ok = value is not None and value >= cfg.report_disconnected_min
         return ("top-site set totally disconnected", value, ok)
     return (kind, None, None)
 

@@ -1,9 +1,15 @@
 """Experiment configuration: sectioned key-value text, canonical hashing.
 
-Configs are INI text.  Parsing produces a typed ExperimentConfig; dumping
-produces a canonical form (sorted sections and keys, normalized value
-formatting) whose SHA-256 identifies the experiment, so two textually
-different but semantically equal configs hash identically.
+Configs are INI text.  The fields of ExperimentConfig are the schema: each
+one declares its INI section, its default text and a ``parse(text, where)``
+function that types and validates the value (raising ConfigError).  A
+field's INI key is its name less a ``<section>_`` prefix, so ``sample_radius``
+is ``[sample] radius`` and ``dimension`` is ``[run] dimension``.
+
+Parsing produces a typed ExperimentConfig; dumping produces a canonical form
+(sorted sections and keys, normalized value formatting) whose SHA-256
+identifies the experiment, so two textually different but semantically
+equal configs hash identically.
 """
 
 from __future__ import annotations
@@ -11,172 +17,83 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import itertools
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .errors import ConfigError
 
-_DEFAULTS = {
-    "run": {
-        "dimension": "1",
-        "family": "exponential",
-        "family_param": "",
-        "master_seed": "1",
-        "output_dir": "run",
-        "threads": "1",
-    },
-    "resources": {
-        "memory_gib": "2.0",
-        "record_cap": "10000000",
-    },
-    "solver": {
-        "tol": "1e-9",
-        "box_policy": "default",
-    },
-    "sample": {
-        "radius": "100",
-        "threshold": "",
-        "method": "auto",
-    },
-    "solve": {
-        "t_end": "5.0",
-        "output_times": "",
-        "deltas": "0.5",
-        "zero_potential": "false",
-    },
-    "variational": {
-        "t": "100.0",
-        "c": "1.0",
-        "n_seeds": "4",
-        "threshold": "",
-    },
-    "ensemble": {
-        "kind": "gap",
-        "t": "1000.0",
-        "t_grid": "",
-        "n_seeds": "64",
-        "delta": "0.5",
-        "rho": "0.4",
-        "n": "10000",
-        "proxy": "variational",
-        "threshold": "",
-    },
-    "report": {
-        "gap_ks_max": "0.05",
-        "location_ks_max": "0.05",
-        "sign_fraction_band": "0.47, 0.53",
-        "correlation_max": "0.06",
-        "concentration_min": "0.9",
-        "disconnected_min": "0.99",
-    },
-}
+# --- value parsers: parse(text, where) -> typed value, else ConfigError -------
 
 
-def _float_list(text: str) -> tuple:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+def _integer(minimum: int, bound: Optional[int] = None):
+    """Integer in [minimum, bound), or [minimum, inf) without a bound."""
+    def parse(text: str, where: str) -> int:
+        try:
+            v = int(text)
+        except ValueError as err:
+            raise ConfigError(f"{where} must be an integer") from err
+        if v < minimum:
+            raise ConfigError(f"{where} must be >= {minimum}")
+        if bound is not None and v >= bound:
+            raise ConfigError(f"{where} must be < {bound}")
+        return v
+    return parse
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Typed view of a full experiment configuration."""
-
-    dimension: int
-    family: str
-    family_param: Optional[float]
-    master_seed: int
-    output_dir: str
-    threads: int
-    memory_gib: float
-    record_cap: int
-    tol: float
-    box_policy: str
-    sample_radius: int
-    sample_threshold: Optional[float]
-    sample_method: str
-    solve_t_end: float
-    solve_output_times: tuple
-    solve_deltas: tuple
-    solve_zero_potential: bool
-    variational_t: float
-    variational_c: float
-    variational_n_seeds: int
-    variational_threshold: Optional[float]
-    ensemble_kind: str
-    ensemble_t: float
-    ensemble_t_grid: tuple
-    ensemble_n_seeds: int
-    ensemble_delta: float
-    ensemble_rho: float
-    ensemble_n: int
-    ensemble_proxy: str
-    ensemble_threshold: Optional[float]
-    report: dict
-
-
-def _raw_defaults() -> dict:
-    return {s: dict(kv) for s, kv in _DEFAULTS.items()}
-
-
-def parse_config(text: str = "", overrides: Optional[list] = None
-                 ) -> ExperimentConfig:
-    """Parse INI text plus ``section.key=value`` overrides into typed form."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        cp.read_string(text)
-    except configparser.Error as err:
-        raise ConfigError(f"config syntax: {err}") from err
-    raw = _raw_defaults()
-    for section in cp.sections():
-        if section not in raw:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, value in cp.items(section):
-            if key not in raw[section]:
-                raise ConfigError(f"unknown config key {section}.{key}")
-            raw[section][key] = value.strip()
-    for item in overrides or []:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
-            raise ConfigError(f"override must be section.key=value: {item!r}")
-        dotted, value = item.split("=", 1)
-        section, key = dotted.split(".", 1)
-        if section not in raw or key not in raw[section]:
-            raise ConfigError(f"unknown config key {section}.{key}")
-        raw[section][key] = value.strip()
-    return _typed(raw)
-
-
-def _positive_int(raw, section, key, minimum=1) -> int:
-    try:
-        v = int(raw[section][key])
-    except ValueError as err:
-        raise ConfigError(f"{section}.{key} must be an integer") from err
-    if v < minimum:
-        raise ConfigError(f"{section}.{key} must be >= {minimum}")
-    return v
-
-
-def _positive_float(raw, section, key) -> float:
-    try:
-        v = float(raw[section][key])
-    except ValueError as err:
-        raise ConfigError(f"{section}.{key} must be a number") from err
-    if not (v > 0 and math.isfinite(v)):
-        raise ConfigError(f"{section}.{key} must be positive and finite")
-    return v
-
-
-def _optional_float(raw, section, key) -> Optional[float]:
-    text = raw[section][key].strip()
-    if not text:
-        return None
+def _number(text: str, where: str) -> float:
     try:
         return float(text)
     except ValueError as err:
-        raise ConfigError(f"{section}.{key} must be a number or empty") from err
+        raise ConfigError(f"{where} must be a number") from err
+
+
+def _positive(text: str, where: str) -> float:
+    v = _number(text, where)
+    if not (v > 0 and math.isfinite(v)):
+        raise ConfigError(f"{where} must be positive and finite")
+    return v
+
+
+def _optional(text: str, where: str) -> Optional[float]:
+    return _number(text, where) if text else None
+
+
+def _floats(text: str, where: str) -> tuple:
+    """Comma- or space-separated numbers; empty text is the empty tuple."""
+    return tuple(_number(tok, where) for tok in text.replace(",", " ").split())
+
+
+def _sorted_floats(text: str, where: str) -> tuple:
+    v = _floats(text, where)
+    if any(b < a for a, b in zip(v, v[1:])):
+        raise ConfigError(f"{where} must be sorted")
+    return v
+
+
+def _choice(*options: str):
+    def parse(text: str, where: str) -> str:
+        if text not in options:
+            raise ConfigError(f"{where} must be {'|'.join(options)},"
+                              f" got {text!r}")
+        return text
+    return parse
+
+
+_BOOLEANS = {"true": True, "1": True, "yes": True,
+             "false": False, "0": False, "no": False}
+
+
+def _boolean(text: str, where: str) -> bool:
+    if text.lower() not in _BOOLEANS:
+        raise ConfigError(f"{where} must be boolean")
+    return _BOOLEANS[text.lower()]
+
+
+def _text(text: str, where: str) -> str:
+    return text
 
 
 def parse_box_policy(policy: str) -> Optional[int]:
@@ -190,68 +107,100 @@ def parse_box_policy(policy: str) -> Optional[int]:
     return int(match.group(1))
 
 
-def _typed(raw: dict) -> ExperimentConfig:
-    family = raw["run"]["family"]
-    if family not in ("exponential", "weibull", "pareto"):
-        raise ConfigError(f"run.family must be exponential|weibull|pareto")
-    kind = raw["ensemble"]["kind"]
-    if kind not in ("gap", "location", "gumbel", "concentration",
-                    "disconnected"):
-        raise ConfigError(f"ensemble.kind unknown: {kind!r}")
-    method = raw["sample"]["method"]
-    if method not in ("auto", "scan", "binomial"):
-        raise ConfigError("sample.method must be auto|scan|binomial")
-    proxy = raw["ensemble"]["proxy"]
-    if proxy not in ("variational", "solver"):
-        raise ConfigError("ensemble.proxy must be variational|solver")
-    parse_box_policy(raw["solver"]["box_policy"])
-    zero = raw["solve"]["zero_potential"].lower()
-    if zero not in ("true", "false", "1", "0", "yes", "no"):
-        raise ConfigError("solve.zero_potential must be boolean")
-    times = _float_list(raw["solve"]["output_times"])
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ConfigError("solve.output_times must be sorted")
-    report = {
-        "gap_ks_max": _positive_float(raw, "report", "gap_ks_max"),
-        "location_ks_max": _positive_float(raw, "report", "location_ks_max"),
-        "sign_fraction_band": _float_list(raw["report"]["sign_fraction_band"]),
-        "correlation_max": _positive_float(raw, "report", "correlation_max"),
-        "concentration_min": _positive_float(raw, "report", "concentration_min"),
-        "disconnected_min": _positive_float(raw, "report", "disconnected_min"),
-    }
-    return ExperimentConfig(
-        dimension=_positive_int(raw, "run", "dimension"),
-        family=family,
-        family_param=_optional_float(raw, "run", "family_param"),
-        master_seed=int(raw["run"]["master_seed"]),
-        output_dir=raw["run"]["output_dir"],
-        threads=_positive_int(raw, "run", "threads"),
-        memory_gib=_positive_float(raw, "resources", "memory_gib"),
-        record_cap=_positive_int(raw, "resources", "record_cap"),
-        tol=_positive_float(raw, "solver", "tol"),
-        box_policy=raw["solver"]["box_policy"],
-        sample_radius=_positive_int(raw, "sample", "radius", minimum=0),
-        sample_threshold=_optional_float(raw, "sample", "threshold"),
-        sample_method=method,
-        solve_t_end=_positive_float(raw, "solve", "t_end"),
-        solve_output_times=times,
-        solve_deltas=_float_list(raw["solve"]["deltas"]),
-        solve_zero_potential=zero in ("true", "1", "yes"),
-        variational_t=_positive_float(raw, "variational", "t"),
-        variational_c=_positive_float(raw, "variational", "c"),
-        variational_n_seeds=_positive_int(raw, "variational", "n_seeds"),
-        variational_threshold=_optional_float(raw, "variational", "threshold"),
-        ensemble_kind=kind,
-        ensemble_t=_positive_float(raw, "ensemble", "t"),
-        ensemble_t_grid=_float_list(raw["ensemble"]["t_grid"]),
-        ensemble_n_seeds=_positive_int(raw, "ensemble", "n_seeds"),
-        ensemble_delta=_positive_float(raw, "ensemble", "delta"),
-        ensemble_rho=_positive_float(raw, "ensemble", "rho"),
-        ensemble_n=_positive_int(raw, "ensemble", "n"),
-        ensemble_proxy=proxy,
-        ensemble_threshold=_optional_float(raw, "ensemble", "threshold"),
-        report=report,
-    )
+def _box_policy(text: str, where: str) -> str:
+    parse_box_policy(text)
+    return text
+
+
+# --- the schema ---------------------------------------------------------------
+
+
+def _key(section: str, default: str, parse):
+    return field(metadata={"section": section, "default": default,
+                           "parse": parse})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Typed view of a full experiment configuration."""
+
+    dimension: int = _key("run", "1", _integer(1))
+    family: str = _key("run", "exponential",
+                       _choice("exponential", "weibull", "pareto"))
+    family_param: Optional[float] = _key("run", "", _optional)
+    master_seed: int = _key("run", "1", _integer(0, 2 ** 64))
+    output_dir: str = _key("run", "run", _text)
+    threads: int = _key("run", "1", _integer(1))
+    memory_gib: float = _key("resources", "2.0", _positive)
+    record_cap: int = _key("resources", "10000000", _integer(1))
+    tol: float = _key("solver", "1e-9", _positive)
+    box_policy: str = _key("solver", "default", _box_policy)
+    sample_radius: int = _key("sample", "100", _integer(0))
+    sample_threshold: Optional[float] = _key("sample", "", _optional)
+    sample_method: str = _key("sample", "auto",
+                              _choice("auto", "scan", "binomial"))
+    solve_t_end: float = _key("solve", "5.0", _positive)
+    solve_output_times: tuple = _key("solve", "", _sorted_floats)
+    solve_deltas: tuple = _key("solve", "0.5", _floats)
+    solve_zero_potential: bool = _key("solve", "false", _boolean)
+    variational_t: float = _key("variational", "100.0", _positive)
+    variational_c: float = _key("variational", "1.0", _positive)
+    variational_n_seeds: int = _key("variational", "4", _integer(1))
+    variational_threshold: Optional[float] = _key("variational", "", _optional)
+    ensemble_kind: str = _key("ensemble", "gap", _choice(
+        "gap", "location", "gumbel", "concentration", "disconnected"))
+    ensemble_t: float = _key("ensemble", "1000.0", _positive)
+    ensemble_t_grid: tuple = _key("ensemble", "", _floats)
+    ensemble_n_seeds: int = _key("ensemble", "64", _integer(1))
+    ensemble_delta: float = _key("ensemble", "0.5", _positive)
+    ensemble_rho: float = _key("ensemble", "0.4", _positive)
+    ensemble_n: int = _key("ensemble", "10000", _integer(1))
+    ensemble_proxy: str = _key("ensemble", "variational",
+                               _choice("variational", "solver"))
+    ensemble_threshold: Optional[float] = _key("ensemble", "", _optional)
+    report_gap_ks_max: float = _key("report", "0.05", _positive)
+    report_location_ks_max: float = _key("report", "0.05", _positive)
+    report_sign_fraction_band: tuple = _key("report", "0.47, 0.53", _floats)
+    report_correlation_max: float = _key("report", "0.06", _positive)
+    report_concentration_min: float = _key("report", "0.9", _positive)
+    report_disconnected_min: float = _key("report", "0.99", _positive)
+
+
+# (section, key) -> field, in canonical (sorted) order.
+_SCHEMA = dict(sorted(
+    ((f.metadata["section"], f.name.removeprefix(f.metadata["section"] + "_")),
+     f) for f in fields(ExperimentConfig)))
+_SECTIONS = {section for section, _ in _SCHEMA}
+
+
+def _assign(raw: dict, section: str, key: str, value: str) -> None:
+    if (section, key) not in raw:
+        raise ConfigError(f"unknown config key {section}.{key}")
+    raw[section, key] = value.strip()
+
+
+def parse_config(text: str = "", overrides: Optional[list] = None
+                 ) -> ExperimentConfig:
+    """Parse INI text plus ``section.key=value`` overrides into typed form."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    try:
+        cp.read_string(text)
+    except configparser.Error as err:
+        raise ConfigError(f"config syntax: {err}") from err
+    raw = {sk: f.metadata["default"] for sk, f in _SCHEMA.items()}
+    for section in cp.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key, value in cp.items(section):
+            _assign(raw, section, key, value)
+    for item in overrides or []:
+        if "=" not in item or "." not in item.split("=", 1)[0]:
+            raise ConfigError(f"override must be section.key=value: {item!r}")
+        dotted, value = item.split("=", 1)
+        _assign(raw, *dotted.split(".", 1), value)
+    return ExperimentConfig(**{
+        f.name: f.metadata["parse"](raw[section, key], f"{section}.{key}")
+        for (section, key), f in _SCHEMA.items()})
 
 
 def _canonical_value(v) -> str:
@@ -268,45 +217,12 @@ def _canonical_value(v) -> str:
 
 def canonical_text(cfg: ExperimentConfig) -> str:
     """Normalized INI rendering; the identity of the experiment."""
-    sections: dict = {s: {} for s in _DEFAULTS}
-    sections["run"] = {
-        "dimension": cfg.dimension, "family": cfg.family,
-        "family_param": cfg.family_param, "master_seed": cfg.master_seed,
-        "output_dir": cfg.output_dir, "threads": cfg.threads,
-    }
-    sections["resources"] = {"memory_gib": cfg.memory_gib,
-                             "record_cap": cfg.record_cap}
-    sections["solver"] = {"tol": cfg.tol, "box_policy": cfg.box_policy}
-    sections["sample"] = {"radius": cfg.sample_radius,
-                          "threshold": cfg.sample_threshold,
-                          "method": cfg.sample_method}
-    sections["solve"] = {"t_end": cfg.solve_t_end,
-                         "output_times": cfg.solve_output_times,
-                         "deltas": cfg.solve_deltas,
-                         "zero_potential": cfg.solve_zero_potential}
-    sections["variational"] = {"t": cfg.variational_t, "c": cfg.variational_c,
-                               "n_seeds": cfg.variational_n_seeds,
-                               "threshold": cfg.variational_threshold}
-    sections["ensemble"] = {
-        "kind": cfg.ensemble_kind, "t": cfg.ensemble_t,
-        "t_grid": cfg.ensemble_t_grid, "n_seeds": cfg.ensemble_n_seeds,
-        "delta": cfg.ensemble_delta, "rho": cfg.ensemble_rho,
-        "n": cfg.ensemble_n, "proxy": cfg.ensemble_proxy,
-        "threshold": cfg.ensemble_threshold,
-    }
-    sections["report"] = {
-        "gap_ks_max": cfg.report["gap_ks_max"],
-        "location_ks_max": cfg.report["location_ks_max"],
-        "sign_fraction_band": tuple(cfg.report["sign_fraction_band"]),
-        "correlation_max": cfg.report["correlation_max"],
-        "concentration_min": cfg.report["concentration_min"],
-        "disconnected_min": cfg.report["disconnected_min"],
-    }
     out = io.StringIO()
-    for section in sorted(sections):
+    for section, entries in itertools.groupby(_SCHEMA.items(),
+                                               key=lambda e: e[0][0]):
         out.write(f"[{section}]\n")
-        for key in sorted(sections[section]):
-            out.write(f"{key} = {_canonical_value(sections[section][key])}\n")
+        for (_, key), f in entries:
+            out.write(f"{key} = {_canonical_value(getattr(cfg, f.name))}\n")
         out.write("\n")
     return out.getvalue()
 

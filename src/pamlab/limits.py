@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import randomness
+from .errors import NumericalError
 from .geometry import encode_sites
 from .potential import certify, sample_dense, sparse_top_k
 from .solver import choose_box_radius, integrate, mass_within
@@ -86,7 +87,7 @@ def ks_test(samples, law: LimitLaw) -> tuple[float, float]:
     if n < 8:
         raise ValueError("need at least 8 samples")
     if not np.isfinite(x).all():
-        raise ValueError("samples must be finite")
+        raise NumericalError("samples must be finite")
     cdf = law_cdf(law, x)
     i = np.arange(1, n + 1)
     d_plus = (i / n - cdf).max()

@@ -120,7 +120,7 @@ class PotentialField:
 
     @property
     def coords(self) -> np.ndarray:
-        return geometry.unrank(self.dimension, np.arange(self.size, dtype=np.int64))
+        return geometry.build_box(self.dimension, self.radius).coords
 
     def value_at(self, site) -> float:
         idx = geometry.rank(self.dimension, np.asarray(site, dtype=np.int64))
@@ -449,7 +449,7 @@ def order_asymptotics_check(d: int, n: int, beta: float,
 
 _MAGIC = b"PAMF"
 _BIN_VERSION = 1
-_BIN_HEADER = "<4sIIqQBBdqd"
+_BIN_HEADER = "<4sIIqQBBdQd"
 _FAMILY_CODE = {"exponential": 0, "weibull": 1, "pareto": 2}
 _FAMILY_NAME = {v: k for k, v in _FAMILY_CODE.items()}
 
@@ -500,7 +500,7 @@ def write_field_binary(f: Field, path) -> None:
     n = f.values.shape[0]
     header = struct.pack(
         _BIN_HEADER, _MAGIC, _BIN_VERSION, f.dimension, f.radius, n,
-        kind, _FAMILY_CODE[f.spec.family], param, f.seed & ((1 << 63) - 1), thr,
+        kind, _FAMILY_CODE[f.spec.family], param, f.seed, thr,
     )
     with open(path, "wb") as fh:
         fh.write(header)

@@ -182,3 +182,12 @@ class TestBoxPolicy:
         summary = (tmp_path / "solve_summary.json").read_text()
         assert '"oracle_residual"' in summary
         assert set(hashes) == {"trajectory.jsonl", "solve_summary.json"}
+
+
+class TestEnsembleFamily:
+    @pytest.mark.parametrize("family", ["weibull", "pareto"])
+    def test_non_exponential_exits_2(self, tmp_path, family):
+        rc, hashes = run_cli(tmp_path, "ensemble", overrides=GAP_D1 + (
+            f"run.family={family}", "run.family_param=0.5"))
+        assert rc == 2
+        assert hashes == {}

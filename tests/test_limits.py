@@ -10,6 +10,7 @@ from pamlab import limits as lm
 from pamlab import potential as pt
 from pamlab import randomness as rn
 from pamlab import variational as vr
+from pamlab.errors import NumericalError
 
 
 class TestLaws:
@@ -59,6 +60,11 @@ class TestKsTest:
     def test_small_sample_guard(self):
         with pytest.raises(ValueError):
             lm.ks_test([0.5], lm.LimitLaw("uniform01"))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_is_numerical_error(self, bad):
+        with pytest.raises(NumericalError):
+            lm.ks_test([0.5] * 7 + [bad], lm.LimitLaw("uniform01"))
 
     def test_pvalue_against_reference_series(self):
         # ten (D, N) reference points against an independent evaluation

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -71,6 +72,13 @@ class TestDenseSampling:
     def test_memory_budget(self):
         with pytest.raises(ResourceCapError):
             pt.sample_dense(1, 10_000_000, seed=0, memory_gib=0.01)
+
+    @pytest.mark.parametrize("d,r", [(1, 9), (2, 7), (3, 5)])
+    def test_coords_come_from_the_box(self, d, r):
+        f = pt.sample_dense(d, r, seed=1)
+        assert f.coords is g.build_box(d, r).coords
+        assert np.array_equal(f.coords,
+                              g.unrank(d, np.arange(f.size, dtype=np.int64)))
 
 
 class TestExceedanceSampling:
@@ -323,6 +331,27 @@ class TestSerialization:
             back = pt.read_field_binary(path)
             assert np.array_equal(back.values, f.values)
             assert back.radius == f.radius
+
+    def test_binary_roundtrip_seeds_above_2_63(self, tmp_path):
+        seeds = [s for s in (rn.spawn_seed(1, 11, i) for i in range(16))
+                 if s >= 2 ** 63] + [2 ** 64 - 1]
+        assert len(seeds) > 1
+        path = tmp_path / "field.bin"
+        for s in seeds:
+            for f in (pt.sample_dense(1, 3, seed=s),
+                      pt.sample_exceedances(1, 30, 1.0, seed=s, method="scan")):
+                pt.write_field_binary(f, path)
+                assert pt.read_field_binary(path).seed == s
+
+    def test_binary_layout_unchanged_below_2_63(self, tmp_path):
+        # the seed slot was signed in v1; seeds below 2^63 have the same
+        # bytes either way, so v1 files still read back unchanged
+        f = pt.sample_dense(1, 2, seed=5)
+        path = tmp_path / "field.bin"
+        pt.write_field_binary(f, path)
+        v1 = struct.pack("<4sIIqQBBdqd", b"PAMF", 1, 1, 2, 5, 0, 0,
+                         float("nan"), 5, float("nan"))
+        assert path.read_bytes() == v1 + f.values.astype("<f8").tobytes()
 
     def test_text_format_one_line_per_site(self, tmp_path):
         f = pt.sample_dense(1, 100, seed=0)
