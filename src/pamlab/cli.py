@@ -133,7 +133,7 @@ def cmd_solve(cfg: ExperimentConfig, out: Path) -> int:
         "argmax": [int(c) for c in site],
         "boundary_mass_bound": traj.boundary_mass_bound,
         "accepted_steps": traj.accepted_steps,
-        "rejected_steps": traj.rejected_steps,
+        "matvecs": traj.matvecs,
         "concentration": {},
     }
     if final.time > variational.T_DOMAIN_MIN:

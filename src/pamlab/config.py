@@ -73,6 +73,14 @@ def _sorted_floats(text: str, where: str) -> tuple:
     return v
 
 
+def _unit_band(text: str, where: str) -> tuple:
+    """Two sorted numbers in [0, 1]: the ends of a closed band."""
+    v = _floats(text, where)
+    if len(v) != 2 or not 0.0 <= v[0] <= v[1] <= 1.0:
+        raise ConfigError(f"{where} must be two sorted numbers in [0, 1]")
+    return v
+
+
 def _choice(*options: str):
     def parse(text: str, where: str) -> str:
         if text not in options:
@@ -160,7 +168,8 @@ class ExperimentConfig:
     ensemble_threshold: Optional[float] = _key("ensemble", "", _optional)
     report_gap_ks_max: float = _key("report", "0.05", _positive)
     report_location_ks_max: float = _key("report", "0.05", _positive)
-    report_sign_fraction_band: tuple = _key("report", "0.47, 0.53", _floats)
+    report_sign_fraction_band: tuple = _key("report", "0.47, 0.53",
+                                            _unit_band)
     report_correlation_max: float = _key("report", "0.06", _positive)
     report_concentration_min: float = _key("report", "0.9", _positive)
     report_disconnected_min: float = _key("report", "0.99", _positive)

@@ -27,7 +27,3 @@ class SparseValidityError(PamlabError):
 
 class NumericalError(PamlabError):
     """Non-finite state or an uncontrollable numerical failure."""
-
-
-class StiffnessError(NumericalError):
-    """Adaptive step size underflowed; problem too stiff for the tolerance."""

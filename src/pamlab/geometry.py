@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -233,21 +233,41 @@ def norm1(coords: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Box:
-    """The ball B_r with precomputed neighbor structure (Dirichlet outside).
+    """The ball B_r with its neighbor structure (Dirichlet outside).
 
     ``nbr[i, j]`` is the site index of the j-th l1-neighbor of site i, or
     ``size`` (a sentinel one past the end) when that neighbor leaves the box.
+    ``nbr`` and ``out_degree`` are built on first use, so callers that need
+    only the coordinates do not pay for them.
     """
 
     dimension: int
     radius: int
     coords: np.ndarray      # (size, d) canonical order
-    nbr: np.ndarray         # (size, 2d) int64, sentinel == size
-    out_degree: np.ndarray  # (size,) number of neighbors outside the box
 
     @property
     def size(self) -> int:
         return self.coords.shape[0]
+
+    @cached_property
+    def nbr(self) -> np.ndarray:
+        """(size, 2d) int64 in Fortran order, so each column is contiguous."""
+        d, r, n = self.dimension, self.radius, self.size
+        nbr = np.full((n, 2 * d), n, dtype=np.int64, order="F")
+        col = 0
+        for axis in range(d):
+            for step in (-1, 1):
+                shifted = self.coords.copy()
+                shifted[:, axis] += step
+                inside = norm1(shifted) <= r
+                nbr[inside, col] = rank(d, shifted[inside])
+                col += 1
+        return nbr
+
+    @cached_property
+    def out_degree(self) -> np.ndarray:
+        """(size,) int64: the number of neighbors outside the box."""
+        return (self.nbr == self.size).sum(axis=1).astype(np.int64)
 
     def index_of(self, site) -> int:
         """Canonical index of a site inside the box."""
@@ -259,21 +279,10 @@ class Box:
 
 @lru_cache(maxsize=32)
 def build_box(d: int, r: int) -> Box:
-    """Construct (and memoize) the neighbor table of B_r."""
+    """Construct (and memoize) B_r; its neighbor table is built lazily."""
     n = check_indexable(d, r)
-    coords = unrank(d, np.arange(n, dtype=np.int64))
-    nbr = np.full((n, 2 * d), n, dtype=np.int64)
-    col = 0
-    for axis in range(d):
-        for step in (-1, 1):
-            shifted = coords.copy()
-            shifted[:, axis] += step
-            inside = norm1(shifted) <= r
-            nbr[inside, col] = rank(d, shifted[inside])
-            col += 1
-    out_degree = (nbr == n).sum(axis=1).astype(np.int64)
-    return Box(dimension=d, radius=r, coords=coords, nbr=nbr,
-               out_degree=out_degree)
+    return Box(dimension=d, radius=r,
+               coords=unrank(d, np.arange(n, dtype=np.int64)))
 
 
 def encode_sites(coords: np.ndarray, radius: int) -> np.ndarray:

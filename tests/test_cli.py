@@ -3,12 +3,17 @@
 The golden hashes were recorded before the certification retry loops were
 folded into ``potential.certify``; each run below reaches one of its
 callers, so a change in seeds, attempt tags, the threshold schedule or the
-number of sampler calls shows up as a hash mismatch.
+number of sampler calls shows up as a hash mismatch.  Solver runs are
+pinned by value with tolerances instead: their last digits depend on the
+integrator, while L_t, the argmax and the mass fractions must not.
 """
 
 import dataclasses
 import hashlib
+import json
+import math
 
+import numpy as np
 import pytest
 
 from pamlab import cli
@@ -117,6 +122,84 @@ class TestGolden:
         assert st.values.tolist() == [17.956067244879403, 17.75970077534786,
                                       16.747273963926666]
         assert st.coords.ravel().tolist() == [-12279222, -10696903, 14632757]
+
+
+# Solver outputs by value, recorded with the Dormand-Prince integrator before
+# the uniformized series replaced it: (t, L_t, argmax) per output time.
+SOLVE_D2 = ("run.dimension=2", "solve.t_end=10",
+            "solve.output_times=2.5,5,7.5,10")
+SOLVE_PINS = {
+    "d2_seed1": (("--seed", "1"), SOLVE_D2, [
+        (2.5, 0.9586412180289571, [-1, 1]),
+        (5.0, 1.2382278397171707, [-7, -6]),
+        (7.5, 1.9846832019667735, [-7, -6]),
+        (10.0, 2.5436072312012064, [-7, -6]),
+    ]),
+    # the mass jumps to a far site between t=7.5 and t=10
+    "d2_seed2": (("--seed", "2"), SOLVE_D2, [
+        (2.5, 1.6703382831554365, [1, -1]),
+        (5.0, 1.6402244100517387, [-1, 3]),
+        (7.5, 1.6717944165393197, [-1, 3]),
+        (10.0, 2.116675830365296, [16, 13]),
+    ]),
+    "d1": ((), ("run.dimension=1", "solve.t_end=20"), [
+        (20.0, 1.6223833404685972, [-7]),
+    ]),
+}
+CONCENTRATION_PIN = [
+    [0.9999995791691992, 0.9999999999606087],
+    [0.9999202230611091, 0.06653254987626094],
+    [0.9999614955851368, 0.9999998846299031],
+    [0.9999999890817299, 0.9999999999997715],
+]
+GUMBEL_SOLVER_PIN = [
+    -1.0112571248715505,
+    0.045103914727079975,
+    -0.7485987570953525,
+    -1.6142506142056499,
+    0.03053647771015422,
+    -1.7131765429956818,
+    0.43121752595279483,
+    -0.6742707457423904,
+]
+
+
+class TestSolverPins:
+    @pytest.mark.parametrize("name", sorted(SOLVE_PINS))
+    def test_solve(self, tmp_path, name):
+        args, overrides, expected = SOLVE_PINS[name]
+        rc, _ = run_cli(tmp_path, "solve", *args, overrides=overrides)
+        assert rc == 0
+        rows = [json.loads(line) for line in
+                (tmp_path / "trajectory.jsonl").read_text().splitlines()]
+        assert [row["t"] for row in rows] == [t for t, _, _ in expected]
+        for row, (t, rate, site) in zip(rows, expected):
+            assert row["logMass"] / t == pytest.approx(rate, rel=1e-6)
+            assert row["argmax"] == site
+
+    def test_concentration(self, tmp_path):
+        rc, _ = run_cli(tmp_path, "ensemble", overrides=(
+            "run.dimension=1", "ensemble.kind=concentration",
+            "ensemble.t_grid=20,40", "ensemble.n_seeds=4"))
+        assert rc == 0
+        got = [json.loads(line)["sample"] for line in
+               (tmp_path / "ensemble_concentration.jsonl").read_text()
+               .splitlines()]
+        assert np.abs(np.array(got) - CONCENTRATION_PIN).max() <= 1e-6
+
+    def test_gumbel_solver_proxy(self, tmp_path):
+        t = 50.0
+        rc, _ = run_cli(tmp_path, "ensemble", overrides=(
+            "run.dimension=1", "ensemble.kind=gumbel", "ensemble.proxy=solver",
+            f"ensemble.t={t}", "ensemble.n_seeds=8"))
+        assert rc == 0
+        got = [json.loads(line)["sample"] for line in
+               (tmp_path / "ensemble_gumbel.jsonl").read_text().splitlines()]
+        # each sample is L_t less the centering; L_t is pinned to 1e-6
+        # relative, since a sample near 0 would magnify its error
+        centering = math.log(t) - math.log(math.log(math.log(t)))
+        assert np.array(got) + centering == pytest.approx(
+            np.array(GUMBEL_SOLVER_PIN) + centering, rel=1e-6)
 
 
 class TestUncertified:

@@ -6,6 +6,7 @@ formatting shows up as a hash mismatch.
 """
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -136,6 +137,10 @@ BAD = {
     "bad_boolean": ("", ("solve.zero_potential=maybe",)),
     "not_positive": ("", ("ensemble.delta=0",)),
     "malformed_override": ("", ("run.dimension",)),
+    "band_one_value": ("", ("report.sign_fraction_band=0.5",)),
+    "band_three_values": ("", ("report.sign_fraction_band=0.4 0.5 0.6",)),
+    "band_unsorted": ("", ("report.sign_fraction_band=0.6 0.4",)),
+    "band_outside_unit": ("", ("report.sign_fraction_band=0.4 1.5",)),
 }
 
 
@@ -157,6 +162,20 @@ class TestExitCodes:
     def test_seed_width(self, tmp_path, seed, rc):
         assert cli.main(["sample", "--seed", str(seed), "--out", str(tmp_path),
                          "--override", "sample.radius=2"]) == rc
+
+    @pytest.mark.parametrize("band,rc", [("0.5", 2), ("0.4, 0.6", 0)])
+    def test_report_sign_fraction_band(self, tmp_path, band, rc):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        (runs / "ensemble_location_summary.json").write_text(json.dumps({
+            "statistic": "location", "t": 100.0, "d": 2, "n_seeds": 8,
+            "tests": {"ks_distance_per_coord": [0.01, 0.02],
+                      "sign_fraction": 0.5,
+                      "intercoordinate_correlation": [0.01]}}))
+        out = tmp_path / "report"
+        assert cli.main(["report", str(runs), "--out", str(out), "--override",
+                         f"report.sign_fraction_band={band}"]) == rc
+        assert (out / "report.json").exists() == (rc == 0)
 
     def test_record_cap_exits_3(self, tmp_path):
         rc = cli.main(["sample", "--out", str(tmp_path),

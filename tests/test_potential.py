@@ -80,6 +80,15 @@ class TestDenseSampling:
         assert np.array_equal(f.coords,
                               g.unrank(d, np.arange(f.size, dtype=np.int64)))
 
+    def test_coords_leave_the_neighbor_table_unbuilt(self):
+        g.build_box.cache_clear()
+        f = pt.sample_dense(3, 6, seed=1)
+        box = g.build_box(3, 6)
+        assert f.coords is box.coords
+        assert "nbr" not in vars(box) and "out_degree" not in vars(box)
+        assert box.out_degree[0] == 0
+        assert "nbr" in vars(box)
+
 
 class TestExceedanceSampling:
     def test_zero_threshold_is_dense(self):
